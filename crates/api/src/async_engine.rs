@@ -5,7 +5,7 @@ use crate::ops::{
     InsertOutcome, Op, OpResult, OverlayStats, QueryOutcome, RemoveOutcome, RouteOutcome,
 };
 use crate::overlay::Overlay;
-use voronet_core::runtime::{AsyncOverlay, OpToken, RoutingMode};
+use voronet_core::runtime::{AsyncOverlay, OpToken};
 use voronet_core::{ErrorKind, ObjectId, ObjectView, VoroNetConfig, VoronetError};
 use voronet_geom::Point2;
 use voronet_sim::NetworkModel;
@@ -44,12 +44,6 @@ impl AsyncEngine {
         AsyncEngine {
             overlay: AsyncOverlay::new(config, network, config.seed),
         }
-    }
-
-    /// Selects the routing mode for subsequent routes.
-    pub fn with_routing_mode(mut self, mode: RoutingMode) -> Self {
-        self.overlay = self.overlay.with_routing_mode(mode);
-        self
     }
 
     /// Wraps an existing runtime overlay.

@@ -21,6 +21,7 @@ use voronet_core::VoroNetConfig;
 use voronet_net::{
     host_of, FaultyCluster, HostState, LinkFaults, Liveness, OpOutcome, RetryPolicy,
 };
+use voronet_stats::nearest_rank;
 use voronet_workloads::{Distribution, PointGenerator};
 
 const SEED: u64 = 4242;
@@ -65,14 +66,6 @@ struct ModeResult {
     get_p99_us: f64,
     get_ok: usize,
     degraded_reads: u64,
-}
-
-fn percentile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
-    sorted_us[idx]
 }
 
 /// Builds a populated faulty cluster, optionally crashes one host
@@ -151,6 +144,7 @@ fn run_mode(name: &'static str, link: LinkFaults, crash: bool) -> ModeResult {
 
     route_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
     get_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let percentile = |sorted_us: &[f64], q| nearest_rank(sorted_us, q).unwrap_or(f64::NAN);
     let result = ModeResult {
         name,
         route_p50_us: percentile(&route_us, 0.5),

@@ -14,6 +14,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use voronet_core::experiments::build_overlay;
 use voronet_core::{algorithm5_route, ObjectId, VoroNet, VoroNetConfig};
+use voronet_stats::nearest_rank;
 use voronet_workloads::Distribution;
 
 const OVERLAY_SIZE: usize = 10_000;
@@ -75,14 +76,6 @@ fn route_hot_path(c: &mut Criterion) {
     record_json(&mut net, &pairs);
 }
 
-/// The `q`-quantile of a set of per-route samples (nearest-rank on the
-/// sorted copy, like `voronet_stats`' summaries).
-fn quantile(samples: &mut [u64], q: f64) -> u64 {
-    samples.sort_unstable();
-    let rank = (q.clamp(0.0, 1.0) * (samples.len() - 1) as f64).round() as usize;
-    samples[rank]
-}
-
 /// One timed pass per mode — each route timed individually so the tail
 /// (p99) is visible, not just the mean — recorded as the `route_hot_path`
 /// section of `BENCH_routes.json` (other benches own the other sections)
@@ -120,16 +113,20 @@ fn record_json(net: &mut VoroNet, pairs: &[(ObjectId, ObjectId)]) {
     }
     let alg5_ns = start.elapsed().as_nanos() as f64 / pairs.len() as f64;
 
+    greedy_ns_samples.sort_unstable();
+    greedy_hop_samples.sort_unstable();
+    let quantile = |sorted: &[u64], q| nearest_rank(sorted, q).expect("pairs are non-empty");
+
     let section = format!(
         "{{ \"overlay_size\": {}, \"pairs\": {}, \"greedy_into\": {{ \"mean_ns_per_route\": {:.1}, \"p50_ns_per_route\": {}, \"p99_ns_per_route\": {}, \"mean_hops\": {:.2}, \"p50_hops\": {}, \"p99_hops\": {} }}, \"algorithm5\": {{ \"mean_ns_per_route\": {:.1}, \"mean_forwarding_hops\": {:.2} }} }}",
         OVERLAY_SIZE,
         pairs.len(),
         greedy_ns,
-        quantile(&mut greedy_ns_samples, 0.5),
-        quantile(&mut greedy_ns_samples, 0.99),
+        quantile(&greedy_ns_samples, 0.5),
+        quantile(&greedy_ns_samples, 0.99),
         greedy_hops as f64 / pairs.len() as f64,
-        quantile(&mut greedy_hop_samples, 0.5),
-        quantile(&mut greedy_hop_samples, 0.99),
+        quantile(&greedy_hop_samples, 0.5),
+        quantile(&greedy_hop_samples, 0.99),
         alg5_ns,
         alg5_hops as f64 / pairs.len() as f64,
     );

@@ -12,6 +12,8 @@
 //!   ([`VoroNet::route_to_point`]) and query handling, with per-message
 //!   traffic accounting;
 //! * [`VoroNetConfig`] — `N_max`, the number of long links and `d_min`;
+//! * [`greedy`] — the greedy next-hop rule every walk takes its decisions
+//!   through ([`next_hop`]);
 //! * [`queries`] — range and radius queries (the paper's perspectives);
 //! * [`experiments`] — drivers that regenerate each figure of the paper's
 //!   evaluation;
@@ -37,6 +39,7 @@ pub mod config;
 pub mod dynamic;
 pub mod error;
 pub mod experiments;
+pub mod greedy;
 pub mod object;
 pub mod overlay;
 pub mod protocol;
@@ -48,17 +51,18 @@ pub use arena::{NodeArena, NodeIndex, NodeSlot};
 pub use config::{DminRule, VoroNetConfig};
 pub use dynamic::{adapt_nmax, AdaptationPolicy, AdaptationReport, RefreshStrategy};
 pub use error::{ErrorKind, VoronetError};
+pub use greedy::next_hop;
 pub use object::{BackLink, LinkIndex, LongLink, ObjectId, ObjectView, ViewRef};
 pub use overlay::{
     InvariantAudit, JoinError, JoinReport, LeaveReport, OverlayError, RouteReport, VoroNet,
 };
 pub use protocol::{algorithm5_route, Algorithm5Report, StopReason};
 pub use queries::{
-    radius_query, radius_query_in, range_query, range_query_in, segment_query, AreaQueryReport,
-    SegmentQueryReport,
+    disk_predicates, radius_query, radius_query_in, range_query, range_query_in, rect_predicates,
+    segment_query, AreaQueryReport, SegmentQueryReport,
 };
 pub use runtime::{
-    run_scenario, AsyncOverlay, OpToken, ProtocolMsg, RoutePurpose, RoutingMode, ScenarioCounters,
+    run_scenario, AsyncOverlay, OpToken, ProtocolMsg, RoutePurpose, ScenarioCounters,
     ScenarioReport, WireTap, UNTRACKED,
 };
 pub use snapshot::{

@@ -105,9 +105,12 @@ impl<'a> ViewRef<'a> {
     }
 
     /// All neighbours usable for greedy routing: `vn ∪ cn ∪ LRn` (never
-    /// `BLRn`), without allocation.  Unlike
-    /// [`ObjectView::routing_neighbours`] the sequence is neither sorted nor
-    /// deduplicated — greedy minimisation is insensitive to both.
+    /// `BLRn`), without allocation, in *scan order*: the Voronoi fan, then
+    /// the close set, then the long links.  The sequence is not
+    /// deduplicated (a duplicate never wins a strict comparison), but the
+    /// order matters: [`crate::next_hop`] gives a distance tie to the
+    /// first candidate in scan order, so every routing row — live, frozen,
+    /// replica or host — is built from this sequence.
     pub fn routing_neighbours(&self) -> impl Iterator<Item = ObjectId> + 'a {
         self.voronoi_neighbours()
             .chain(self.close.iter().copied())
@@ -164,21 +167,6 @@ impl ObjectView {
             + self.long_links.len()
             + self.back_long_links.len()
     }
-
-    /// All neighbours usable for greedy routing: `vn ∪ cn ∪ LRn`
-    /// (back-long-range pointers are explicitly *not* used for routing).
-    pub fn routing_neighbours(&self) -> Vec<ObjectId> {
-        let mut out: Vec<ObjectId> = self
-            .voronoi_neighbours
-            .iter()
-            .chain(self.close_neighbours.iter())
-            .copied()
-            .collect();
-        out.extend(self.long_links.iter().map(|l| l.neighbour));
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn view_size_and_routing_neighbours() {
+    fn view_size_counts_every_list() {
         let view = ObjectView {
             id: ObjectId(1),
             coords: Point2::new(0.5, 0.5),
@@ -211,11 +199,5 @@ mod tests {
             }],
         };
         assert_eq!(view.size(), 5);
-        let routing = view.routing_neighbours();
-        assert_eq!(routing, vec![ObjectId(2), ObjectId(3), ObjectId(4)]);
-        assert!(
-            !routing.contains(&ObjectId(9)),
-            "back links must not be used for routing"
-        );
     }
 }

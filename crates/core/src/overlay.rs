@@ -29,6 +29,7 @@
 use crate::arena::{NodeArena, NodeIndex, NodeSlot};
 use crate::config::VoroNetConfig;
 use crate::error::VoronetError;
+use crate::greedy::next_hop;
 use crate::object::{BackLink, LinkIndex, LongLink, ObjectId, ObjectView, ViewRef};
 use crate::snapshot::{
     ChangeLog, ChangeRecord, FrozenView, RouteScratch, SnapshotStats, TrafficAccumulator,
@@ -404,50 +405,34 @@ impl VoroNet {
         path.push(cur);
         let mut hops = 0u32;
         loop {
-            let (best, best_d) = {
-                let vr = self.view_ref(cur).expect("current hop is live");
-                let mut best = cur;
-                let mut best_d = cur_d;
-                // Voronoi neighbours: distances straight off the
-                // triangulation's point array, the winning vertex mapped to
-                // its object through the vertex table — array reads only, no
-                // id hashing for the common (pure Delaunay) hop.
-                let mut best_vertex = None;
-                for v in self.tri.real_neighbors_iter(vr.vertex) {
-                    let d = self.tri.point(v).distance2(target);
-                    if d < best_d {
-                        best_vertex = Some(v);
-                        best_d = d;
-                    }
-                }
-                if let Some(v) = best_vertex {
-                    best = self
-                        .object_of_vertex(v)
-                        .expect("real vertices always map to live objects");
-                }
-                // Close neighbours and long links: id-keyed arena lookups.
-                for n in vr
-                    .close
-                    .iter()
-                    .copied()
-                    .chain(vr.long.iter().map(|l| l.neighbour))
-                {
-                    if n == cur {
-                        continue;
-                    }
-                    let d = self
-                        .arena
-                        .get(n)
-                        .expect("routing neighbours are live")
-                        .coords
-                        .distance2(target);
-                    if d < best_d {
-                        best = n;
-                        best_d = d;
-                    }
-                }
-                (best, best_d)
+            let vr = self.view_ref(cur).expect("current hop is live");
+            // Voronoi neighbours: distances straight off the triangulation's
+            // point array, the winning vertex mapped to its object through
+            // the vertex table — array reads only, no id hashing for the
+            // common (pure Delaunay) hop.
+            let fan = self
+                .tri
+                .real_neighbors_iter(vr.vertex)
+                .map(|v| (v, self.tri.point(v)));
+            let (v, fan_d) = next_hop(vr.vertex, (vr.vertex, cur_d), target, fan);
+            let fan_best = if v == vr.vertex {
+                cur
+            } else {
+                self.object_of_vertex(v)
+                    .expect("real vertices always map to live objects")
             };
+            // Close neighbours and long links: id-keyed arena lookups.
+            let links = vr
+                .close
+                .iter()
+                .copied()
+                .chain(vr.long.iter().map(|l| l.neighbour));
+            let (best, best_d) = next_hop(
+                cur,
+                (fan_best, fan_d),
+                target,
+                links.map(|n| (n, self.coords(n).expect("routing neighbours are live"))),
+            );
             if best == cur {
                 break;
             }

@@ -23,6 +23,7 @@
 //! stop-condition behaviour, the hop counts and the lemmas themselves can be
 //! tested directly against the plain greedy walk.
 
+use crate::greedy::next_hop;
 use crate::object::ObjectId;
 use crate::overlay::{OverlayError, VoroNet};
 use voronet_geom::{distance_to_region, Point2};
@@ -109,18 +110,13 @@ pub fn algorithm5_route(
         // Greedyneighbour(Target): forward to the routing neighbour closest
         // to the target, iterating the borrowed view (no per-hop
         // allocation).
-        let mut best = cur;
-        let mut best_d = d_cur;
-        for n in net.view_ref(cur)?.routing_neighbours() {
-            if n == cur {
-                continue;
-            }
-            let d = net.coords(n).expect("neighbours are live").distance(target);
-            if d < best_d {
-                best = n;
-                best_d = d;
-            }
-        }
+        let row = net.view_ref(cur)?.routing_neighbours();
+        let (best, _) = next_hop(
+            cur,
+            (cur, cur_coords.distance2(target)),
+            target,
+            row.map(|n| (n, net.coords(n).expect("neighbours are live"))),
+        );
         if best == cur {
             stopped_at = cur;
             stop_reason = StopReason::LocalMinimum;
@@ -158,18 +154,13 @@ fn resolve_owner_locally(
         .distance2(target);
     let mut steps = 0u32;
     loop {
-        let mut best = cur;
-        let mut best_d = cur_d;
-        for n in net.view_ref(cur)?.voronoi_neighbours() {
-            let d = net
-                .coords(n)
-                .expect("neighbours are live")
-                .distance2(target);
-            if d < best_d {
-                best = n;
-                best_d = d;
-            }
-        }
+        let fan = net.view_ref(cur)?.voronoi_neighbours();
+        let (best, best_d) = next_hop(
+            cur,
+            (cur, cur_d),
+            target,
+            fan.map(|n| (n, net.coords(n).expect("neighbours are live"))),
+        );
         if best == cur {
             return Ok((cur, steps));
         }

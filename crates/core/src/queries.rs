@@ -11,7 +11,8 @@
 use crate::object::ObjectId;
 use crate::overlay::{OverlayError, VoroNet};
 use crate::snapshot::RouteScratch;
-use voronet_geom::{voronoi_cell, Point2, Rect};
+use std::borrow::Borrow;
+use voronet_geom::{voronoi_cell, Point2, Polygon, Rect};
 use voronet_sim::MessageKind;
 use voronet_workloads::{RadiusQuery, RangeQuery};
 
@@ -61,8 +62,7 @@ pub fn range_query_in(
         net,
         from,
         query.rect.center(),
-        move |p, cell_hits| query.rect.contains(p) || cell_hits,
-        move |net, id| cell_intersects_rect(net, id, query.rect),
+        |id, coords| rect_predicates(coords, || cell_of(net, id), query.rect),
         scratch,
     )
 }
@@ -86,48 +86,59 @@ pub fn radius_query_in(
     query: RadiusQuery,
     scratch: &mut RouteScratch,
 ) -> Result<AreaQueryReport, OverlayError> {
-    let r2 = query.radius * query.radius;
     area_query_in(
         net,
         from,
         query.center,
-        move |p, _| p.distance2(query.center) <= r2,
-        move |net, id| cell_intersects_disk(net, id, query),
+        |id, coords| disk_predicates(coords, || cell_of(net, id), query.center, query.radius),
         scratch,
     )
 }
 
-fn cell_intersects_rect(net: &VoroNet, id: ObjectId, rect: Rect) -> bool {
-    let Some(coords) = net.coords(id) else {
-        return false;
-    };
+/// The flood predicates of a range query at one object, as
+/// `(touches, matches)`: whether the object's Voronoi cell touches `rect`
+/// (the flood expands through it) and whether its coordinates lie in
+/// `rect`.  `cell` is only called when the coordinates are outside.
+///
+/// The single-process flood and the cluster hosts both evaluate floods
+/// through this function and [`disk_predicates`], so they visit and match
+/// the same objects.
+pub fn rect_predicates<C: Borrow<Polygon>>(
+    coords: Point2,
+    cell: impl FnOnce() -> C,
+    rect: Rect,
+) -> (bool, bool) {
     if rect.contains(coords) {
-        return true;
+        return (true, true);
     }
-    let Some(vertex) = net.vertex_of(id) else {
-        return false;
-    };
-    let cell = voronoi_cell(net.triangulation(), vertex);
-    !cell.clipped(rect).is_empty()
+    (!cell().borrow().clip_to_rect(rect).is_empty(), false)
 }
 
-fn cell_intersects_disk(net: &VoroNet, id: ObjectId, query: RadiusQuery) -> bool {
-    let Some(coords) = net.coords(id) else {
-        return false;
-    };
-    if coords.distance(query.center) <= query.radius {
-        return true;
+/// The flood predicates of a radius query at one object, as
+/// `(touches, matches)`; see [`rect_predicates`].  `cell` is only called
+/// when the coordinates are outside the disk.
+pub fn disk_predicates<C: Borrow<Polygon>>(
+    coords: Point2,
+    cell: impl FnOnce() -> C,
+    center: Point2,
+    radius: f64,
+) -> (bool, bool) {
+    let matches = coords.distance2(center) <= radius * radius;
+    if coords.distance(center) <= radius {
+        return (true, matches);
     }
-    let Some(vertex) = net.vertex_of(id) else {
-        return false;
-    };
-    let cell = voronoi_cell(net.triangulation(), vertex);
-    let poly = &cell.polygon.vertices;
-    if poly.len() < 2 {
-        return false;
-    }
+    let cell = cell();
+    let poly = &cell.borrow().vertices;
     let n = poly.len();
-    (0..n).any(|i| query.center.distance_to_segment(poly[i], poly[(i + 1) % n]) <= query.radius)
+    let touches =
+        n >= 2 && (0..n).any(|i| center.distance_to_segment(poly[i], poly[(i + 1) % n]) <= radius);
+    (touches, matches)
+}
+
+/// The Voronoi cell polygon of a live object.
+fn cell_of(net: &VoroNet, id: ObjectId) -> Polygon {
+    let vertex = net.vertex_of(id).expect("flooded objects are live");
+    voronoi_cell(net.triangulation(), vertex).polygon
 }
 
 /// Common flood skeleton shared by range and radius queries, side-effect
@@ -137,8 +148,7 @@ fn area_query_in(
     net: &VoroNet,
     from: ObjectId,
     anchor: Point2,
-    matches: impl Fn(Point2, bool) -> bool,
-    cell_touches_area: impl Fn(&VoroNet, ObjectId) -> bool,
+    predicates: impl Fn(ObjectId, Point2) -> (bool, bool),
     scratch: &mut RouteScratch,
 ) -> Result<AreaQueryReport, OverlayError> {
     let (owner, routing_hops) = net.route_to_point_in(from, anchor, scratch)?;
@@ -157,8 +167,8 @@ fn area_query_in(
     let mut results = Vec::new();
     while let Some(cur) = frontier.pop() {
         let coords = net.coords(cur).expect("visited objects are live");
-        let touches = cell_touches_area(net, cur);
-        if matches(coords, false) {
+        let (touches, matches) = predicates(cur, coords);
+        if matches {
             results.push(cur);
         }
         if !touches {

@@ -48,13 +48,14 @@
 
 use crate::config::VoroNetConfig;
 use crate::error::{ErrorKind, VoronetError};
+use crate::greedy::next_hop;
 use crate::object::{ObjectId, ObjectView};
 use crate::overlay::{JoinError, VoroNet};
 use crate::queries::{radius_query, range_query, AreaQueryReport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
-use voronet_geom::{distance_to_region, Point2, Rect};
+use voronet_geom::{Point2, Rect};
 use voronet_sim::{
     Delivered, DeliveryStats, MessageKind, NetworkModel, NodeId, RouteStats, Runtime, Scenario,
     ScenarioOp, SimTime, TrafficStats,
@@ -186,29 +187,19 @@ impl Clone for Box<dyn WireTap> {
     }
 }
 
-/// How `RouteStep` messages pick the next hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingMode {
-    /// Plain greedy walk to the owner (the walk measured by Figures 6–8).
-    #[default]
-    Greedy,
-    /// Algorithm 5: greedy walk with the paper's early-stop condition
-    /// (`d(z, t) ≤ ⅓·d(t, cur)` or `d(t, cur) ≤ d_min`) followed by local
-    /// resolution, as in [`crate::protocol::algorithm5_route`].
-    Algorithm5,
-}
-
 /// Per-node replica state: what this object knows locally — the snapshot it
 /// captured from the shared arena the last time a refresh reached it.
 #[derive(Debug, Clone)]
 struct NodeState {
     /// Owned view snapshot (the `NeighborUpdate` message payload).
     view: ObjectView,
-    /// The view's routing neighbours (`vn ∪ cn ∪ LRn`, sorted, deduped)
-    /// flattened into one slice with each peer's coordinates inlined
-    /// (attribute coordinates are immutable, so the cache can only be
-    /// incomplete, never wrong).  `RouteStep` scans this without touching
-    /// the heap.
+    /// The view's routing neighbours (`vn ∪ cn ∪ LRn`) flattened into one
+    /// slice with each peer's coordinates inlined (attribute coordinates
+    /// are immutable, so the cache can only be incomplete, never wrong).
+    /// The row keeps [`crate::ViewRef::routing_neighbours`]' scan order —
+    /// the order [`crate::next_hop`] breaks distance ties by — so replicas
+    /// route exactly like the live walk.  `RouteStep` scans this without
+    /// touching the heap.
     routing: Vec<(ObjectId, Point2)>,
 }
 
@@ -268,7 +259,6 @@ pub struct AsyncOverlay {
     nodes: HashMap<NodeId, NodeState>,
     runtime: Runtime<ProtocolMsg, ScenarioOp>,
     rng: StdRng,
-    mode: RoutingMode,
     routes: RouteStats,
     counters: ScenarioCounters,
     /// Next token handed to an externally issued (tracked) operation.
@@ -309,7 +299,6 @@ impl AsyncOverlay {
             nodes: HashMap::new(),
             runtime: Runtime::new(network),
             rng: StdRng::seed_from_u64(seed ^ 0x0A57_C0DE),
-            mode: RoutingMode::default(),
             routes: RouteStats::new(),
             counters: ScenarioCounters::default(),
             next_token: 1,
@@ -321,12 +310,6 @@ impl AsyncOverlay {
             min_population: 8,
             wire_tap: None,
         }
-    }
-
-    /// Selects the routing mode for subsequent `RouteStep` handling.
-    pub fn with_routing_mode(mut self, mode: RoutingMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Installs a [`WireTap`] through which every subsequently sent
@@ -758,31 +741,10 @@ impl AsyncOverlay {
         let Some(state) = self.nodes.get(&cur.0) else {
             return; // Replica disappeared between delivery and handling.
         };
-        let cur_coords = state.view.coords;
-        let cur_d = cur_coords.distance2(target);
-
-        if self.mode == RoutingMode::Algorithm5 && self.algorithm5_stop(cur, target) {
-            let owner = self.resolve_owner_locally(cur, target);
-            self.complete_route(owner, target, origin, hops, purpose);
-            return;
-        }
-
-        // Greedyneighbour(Target) over the cached routing table.  The table
-        // is sorted and deduplicated at refresh time, so the choice is
-        // deterministic — and the scan allocates nothing.
-        let state = self.nodes.get(&cur.0).expect("checked above");
-        let mut best = cur;
-        let mut best_d = cur_d;
-        for &(nb, coords) in &state.routing {
-            if nb == cur {
-                continue;
-            }
-            let d = coords.distance2(target);
-            if d < best_d {
-                best = nb;
-                best_d = d;
-            }
-        }
+        // Greedyneighbour(Target) over the cached routing table; the scan
+        // allocates nothing.
+        let cur_d = state.view.coords.distance2(target);
+        let (best, _) = next_hop(cur, (cur, cur_d), target, state.routing.iter().copied());
         if best == cur {
             self.complete_route(cur, target, origin, hops, purpose);
         } else {
@@ -797,53 +759,6 @@ impl AsyncOverlay {
                     purpose,
                 },
             );
-        }
-    }
-
-    /// The Algorithm 5 early-stop condition, evaluated from `cur`'s own
-    /// region (local information).
-    fn algorithm5_stop(&self, cur: ObjectId, target: Point2) -> bool {
-        let Some(vertex) = self.net.vertex_of(cur) else {
-            return false;
-        };
-        let cur_coords = self.net.coords(cur).expect("live object");
-        let d_cur = cur_coords.distance(target);
-        if d_cur <= self.net.dmin() {
-            return true;
-        }
-        let z = distance_to_region(self.net.triangulation(), vertex, target);
-        z.distance(target) <= d_cur / 3.0
-    }
-
-    /// Delaunay-walk to the true owner from a stopping point (the purely
-    /// local resolution of Algorithm 5's fictive-object insertion).
-    fn resolve_owner_locally(&self, from: ObjectId, target: Point2) -> ObjectId {
-        let mut cur = from;
-        let mut cur_d = self.net.coords(cur).expect("live object").distance2(target);
-        loop {
-            let mut best = cur;
-            let mut best_d = cur_d;
-            for n in self
-                .net
-                .view_ref(cur)
-                .expect("live object")
-                .voronoi_neighbours()
-            {
-                let d = self
-                    .net
-                    .coords(n)
-                    .expect("live neighbour")
-                    .distance2(target);
-                if d < best_d {
-                    best = n;
-                    best_d = d;
-                }
-            }
-            if best == cur {
-                return cur;
-            }
-            cur = best;
-            cur_d = best_d;
         }
     }
 
@@ -993,13 +908,11 @@ impl AsyncOverlay {
         let Ok(vr) = self.net.view_ref(id) else {
             return; // The object is gone; a stale update arrived late.
         };
+        let routing = vr
+            .routing_neighbours()
+            .filter_map(|nb| Some((nb, self.net.coords(nb)?)))
+            .collect();
         let view = vr.to_view();
-        let mut routing = Vec::new();
-        for nb in view.routing_neighbours() {
-            if let Some(c) = self.net.coords(nb) {
-                routing.push((nb, c));
-            }
-        }
         self.nodes.insert(id.0, NodeState { view, routing });
     }
 
@@ -1035,9 +948,8 @@ pub fn run_scenario(
     config: VoroNetConfig,
     scenario: &Scenario,
     network: NetworkModel,
-    mode: RoutingMode,
 ) -> ScenarioReport {
-    let mut overlay = AsyncOverlay::new(config, network, scenario.seed).with_routing_mode(mode);
+    let mut overlay = AsyncOverlay::new(config, network, scenario.seed);
     overlay.warmup(&scenario.warmup);
     for &(t, op) in scenario.events() {
         overlay.runtime.schedule_control_at(t, op);
@@ -1067,10 +979,11 @@ mod tests {
             let fresh = ov.net.view(id).unwrap();
             assert_eq!(replica.view.voronoi_neighbours, fresh.voronoi_neighbours);
             assert_eq!(replica.view.close_neighbours, fresh.close_neighbours);
-            // The flattened routing table mirrors the snapshot's routing
-            // neighbours, with exact (immutable) coordinates inlined.
+            // The flattened routing table mirrors the live routing row in
+            // scan order, with exact (immutable) coordinates inlined.
             let table_ids: Vec<ObjectId> = replica.routing.iter().map(|&(nb, _)| nb).collect();
-            assert_eq!(table_ids, replica.view.routing_neighbours());
+            let live: Vec<ObjectId> = ov.net.view_ref(id).unwrap().routing_neighbours().collect();
+            assert_eq!(table_ids, live);
             for &(nb, coords) in &replica.routing {
                 assert_eq!(Some(coords), ov.net.coords(nb));
             }
@@ -1105,24 +1018,6 @@ mod tests {
                 "owners must agree on a loss-free network"
             );
             assert_eq!(hops, sync.hops, "hop counts must agree with fresh views");
-        }
-    }
-
-    #[test]
-    fn algorithm5_mode_reaches_the_true_owner() {
-        let cfg = VoroNetConfig::new(300).with_seed(7);
-        let mut ov = AsyncOverlay::new(cfg, NetworkModel::ideal(), 7)
-            .with_routing_mode(RoutingMode::Algorithm5);
-        let ids = ov.warmup(&uniform_points(200, 29));
-        let mut rng = StdRng::seed_from_u64(31);
-        for _ in 0..40 {
-            let a = ids[rng.random_range(0..ids.len())];
-            let b = ids[rng.random_range(0..ids.len())];
-            if a == b {
-                continue;
-            }
-            let (owner, _) = ov.measure_route(a, b).expect("loss-free route completes");
-            assert_eq!(owner, b, "algorithm 5 must resolve the true owner");
         }
     }
 
@@ -1166,7 +1061,7 @@ mod tests {
         // Survivors' views no longer mention the departed node.
         for id in ov.net.ids().collect::<Vec<_>>() {
             let replica = &ov.nodes[&id.0];
-            assert!(!replica.view.routing_neighbours().contains(&gone[0]));
+            assert!(!replica.routing.iter().any(|&(nb, _)| nb == gone[0]));
         }
     }
 
@@ -1187,7 +1082,7 @@ mod tests {
                 move || pg.next_point()
             })
             .build();
-        let report = run_scenario(cfg, &scenario, network, RoutingMode::Greedy);
+        let report = run_scenario(cfg, &scenario, network);
         assert!(report.delivery.dropped_loss > 0, "{:?}", report.delivery);
         assert!(
             report.counters.routes_completed <= report.counters.routes_started,
@@ -1222,7 +1117,7 @@ mod tests {
                 })
                 .every(10, 25, 8, |_| ScenarioOp::Ping)
                 .build();
-            run_scenario(cfg, &scenario, network, RoutingMode::Greedy)
+            run_scenario(cfg, &scenario, network)
         };
         let a = run();
         let b = run();

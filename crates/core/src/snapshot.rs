@@ -42,11 +42,12 @@
 //! Routing over a `FrozenView` takes, hop for hop, exactly the decisions
 //! of [`crate::VoroNet::route_to_point_into`] on the overlay state of the
 //! view's epoch: the adjacency lists preserve the live scan order
-//! (Voronoi fan order, then close neighbours, then long links) and
-//! distances are compared with the same strict-`<` rule, so owners, hop
-//! counts, paths and recorded messages are bit-identical.
+//! (Voronoi fan order, then close neighbours, then long links) and both
+//! walks decide each hop with [`crate::next_hop`], so owners, hop counts,
+//! paths and recorded messages are bit-identical.
 
-use crate::arena::{NodeArena, NodeSlot};
+use crate::arena::NodeArena;
+use crate::greedy::next_hop;
 use crate::object::ObjectId;
 use crate::overlay::{OverlayError, VoroNet};
 use std::collections::VecDeque;
@@ -346,9 +347,8 @@ impl FrozenView {
         let mut adj_len = Vec::with_capacity(n);
         let mut adj = Vec::new();
         for &id in &ids {
-            let slot = arena.get(id).expect("dense order holds live nodes");
             let start = adj.len();
-            push_row(net, slot, &id_to_dense, &mut adj);
+            push_row(net, id, &id_to_dense, &mut adj);
             adj_start.push(start as u32);
             adj_len.push((adj.len() - start) as u32);
         }
@@ -488,9 +488,8 @@ impl FrozenView {
             let Some(dense) = self.id_to_dense.get(id) else {
                 continue;
             };
-            let slot = arena.get(id).expect("view membership matches the net");
             row.clear();
-            push_row(net, slot, &self.id_to_dense, &mut row);
+            push_row(net, id, &self.id_to_dense, &mut row);
             self.replace_row(dense as usize, &row);
             patched += 1;
         }
@@ -600,15 +599,11 @@ impl FrozenView {
         let mut cur_d = Point2::new(self.xs[cur as usize], self.ys[cur as usize]).distance2(target);
         let mut hops = 0u32;
         loop {
-            let mut best = cur;
-            let mut best_d = cur_d;
-            for &nb in self.neighbours_of(cur) {
-                let d = Point2::new(self.xs[nb as usize], self.ys[nb as usize]).distance2(target);
-                if d < best_d {
-                    best = nb;
-                    best_d = d;
-                }
-            }
+            let row = self.neighbours_of(cur).iter().map(|&nb| {
+                let i = nb as usize;
+                (nb, Point2::new(self.xs[i], self.ys[i]))
+            });
+            let (best, best_d) = next_hop(cur, (cur, cur_d), target, row);
             if best == cur {
                 break;
             }
@@ -641,29 +636,16 @@ impl FrozenView {
     }
 }
 
-/// Appends `slot`'s routing adjacency row to `out`, in exactly the live
-/// walk's scan order: Voronoi fan first, then close neighbours (BTreeSet
-/// order), then long links — with the node itself skipped, as the live
-/// path's `n == cur` test does.  Shared by the full freeze and the
+/// Appends `id`'s routing adjacency row to `out` as dense indices:
+/// [`crate::ViewRef::routing_neighbours`] in scan order, the order
+/// [`next_hop`] breaks distance ties by.  Shared by the full freeze and the
 /// per-row patch path so both emit identical rows.
-fn push_row(net: &VoroNet, slot: &NodeSlot, index: &IdIndex, out: &mut Vec<u32>) {
-    let id = slot.id();
-    for v in net.triangulation().real_neighbors_iter(slot.vertex()) {
-        let o = net
-            .object_at_vertex(v)
-            .expect("real vertices always map to live objects");
-        out.push(index.get(o).expect("neighbours are live"));
-    }
-    for n in slot
-        .close()
-        .iter()
-        .copied()
-        .chain(slot.long().iter().map(|l| l.neighbour))
-    {
-        if n != id {
-            out.push(index.get(n).expect("neighbours are live"));
-        }
-    }
+fn push_row(net: &VoroNet, id: ObjectId, index: &IdIndex, out: &mut Vec<u32>) {
+    let view = net.view_ref(id).expect("rows are built for live nodes");
+    out.extend(
+        view.routing_neighbours()
+            .map(|n| index.get(n).expect("neighbours are live")),
+    );
 }
 
 /// One overlay mutation, as recorded in the [`ChangeLog`]: the membership

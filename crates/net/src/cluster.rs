@@ -67,7 +67,7 @@ use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::time::{Duration, Instant};
-use voronet_core::{JoinError, VoroNet, VoroNetConfig};
+use voronet_core::{disk_predicates, next_hop, rect_predicates, JoinError, VoroNet, VoroNetConfig};
 use voronet_geom::{voronoi_cell, Point2, Polygon, Rect};
 use voronet_services::{key_point, topic_key};
 use voronet_sim::TransportStats;
@@ -79,6 +79,15 @@ pub const DRIVER_PEER: PeerId = 0;
 /// The host peer responsible for an object.
 pub fn host_of(object: u64, hosts: u64) -> PeerId {
     1 + object % hosts.max(1)
+}
+
+/// The KV owner rule: the object at the lowest `distance2` from the key's
+/// point, ties going to the lower id — the rule of the single-process
+/// `ServiceEngine`.  `None` for an empty overlay.
+fn kv_owner(live: impl Iterator<Item = (u64, Point2)>, key_point: Point2) -> Option<u64> {
+    live.map(|(id, c)| (c.distance2(key_point), id))
+        .min_by(|a, b| a.partial_cmp(b).expect("finite distances"))
+        .map(|(_, id)| id)
 }
 
 const ACK_RESEND: Duration = Duration::from_millis(200);
@@ -721,23 +730,21 @@ impl<T: Transport> Driver<T> {
     /// Materialises the current shippable state of one live object.
     fn current_view(&self, id: u64) -> ShippedView {
         let oid = voronet_core::ObjectId(id);
-        let view = self.net.view(oid).expect("live object");
-        let coords = view.coords;
-        let mut routing = Vec::new();
-        for nb in view.routing_neighbours() {
-            if let Some(c) = self.net.coords(nb) {
-                routing.push((nb.0, c));
-            }
-        }
-        let vn: Vec<u64> = view.voronoi_neighbours.iter().map(|n| n.0).collect();
-        let cell = match self.net.vertex_of(oid) {
-            Some(v) => voronoi_cell(self.net.triangulation(), v).polygon.vertices,
-            None => Vec::new(),
-        };
+        let vr = self.net.view_ref(oid).expect("live object");
+        // Scan order, as the live walk sees it: hosts break distance ties
+        // by it (see `voronet_core::next_hop`).
+        let routing = vr
+            .routing_neighbours()
+            .filter_map(|nb| Some((nb.0, self.net.coords(nb)?)))
+            .collect();
+        let vertex = self.net.vertex_of(oid).expect("live object");
+        let cell = voronoi_cell(self.net.triangulation(), vertex)
+            .polygon
+            .vertices;
         ShippedView {
-            coords,
+            coords: vr.coords(),
             routing,
-            vn,
+            vn: vr.voronoi_neighbours().map(|n| n.0).collect(),
             cell,
         }
     }
@@ -1491,14 +1498,14 @@ impl<T: Transport> Driver<T> {
     }
 
     /// The owning object of a point per the authoritative tessellation
-    /// (min squared distance, ties to the lower id — the `rebalance_kv`
-    /// rule).
+    /// (see [`kv_owner`]).
     fn local_owner_of(&self, target: Point2) -> Option<u64> {
-        self.net
-            .ids()
-            .map(|id| (self.net.coords(id).expect("live").distance2(target), id.0))
-            .min_by(|a, b| a.partial_cmp(b).expect("finite distances"))
-            .map(|(_, id)| id)
+        kv_owner(
+            self.net
+                .ids()
+                .map(|id| (id.0, self.net.coords(id).expect("live"))),
+            target,
+        )
     }
 
     /// True when every host is currently `Alive` per the failure
@@ -1834,12 +1841,7 @@ impl<T: Transport> Driver<T> {
         let mut moves: Vec<(u64, KvPlacement, Vec<u64>)> = Vec::new(); // (key, new placement, previous roles)
         for (&key, placement) in &self.kv {
             let kp = key_point(key, domain);
-            let new_owner = live
-                .iter()
-                .map(|&(id, c)| (c.distance2(kp), id))
-                .min_by(|a, b| a.partial_cmp(b).expect("finite distances"))
-                .expect("non-empty overlay")
-                .1;
+            let new_owner = kv_owner(live.iter().copied(), kp).expect("non-empty overlay");
             let new_replicas = self.replicas_of(new_owner);
             if new_owner != placement.owner || new_replicas != placement.replicas {
                 let mut previous = vec![placement.owner];
@@ -1987,37 +1989,18 @@ struct Hosted {
     coords: Point2,
     routing: Vec<(u64, Point2)>,
     vn: Vec<u64>,
-    cell: Vec<Point2>,
+    cell: Polygon,
 }
 
 impl Hosted {
-    /// Mirrors `core::queries`: the coordinate predicate (match) and the
-    /// cell-touches-area predicate (flood expansion), computed from the
-    /// shipped geometry with the exact same f64 operations as the
-    /// single-process oracle.
+    /// The flood predicates `(eligible, is_match)` at this object,
+    /// computed from the shipped geometry by the same functions as the
+    /// single-process flood.
     fn evaluate(&self, query: &WireQuery) -> (bool, bool) {
         match *query {
-            WireQuery::Rect(rect) => {
-                let is_match = rect.contains(self.coords);
-                let eligible = is_match
-                    || !Polygon::new(self.cell.clone())
-                        .clip_to_rect(rect)
-                        .is_empty();
-                (eligible, is_match)
-            }
+            WireQuery::Rect(rect) => rect_predicates(self.coords, || &self.cell, rect),
             WireQuery::Disk { center, radius } => {
-                let is_match = self.coords.distance2(center) <= radius * radius;
-                let eligible = if self.coords.distance(center) <= radius {
-                    true
-                } else if self.cell.len() < 2 {
-                    false
-                } else {
-                    let n = self.cell.len();
-                    (0..n).any(|i| {
-                        center.distance_to_segment(self.cell[i], self.cell[(i + 1) % n]) <= radius
-                    })
-                };
-                (eligible, is_match)
+                disk_predicates(self.coords, || &self.cell, center, radius)
             }
         }
     }
@@ -2236,7 +2219,7 @@ impl<T: Transport> HostNode<T> {
                             coords,
                             routing: routing.to_vec(),
                             vn: vn.to_vec(),
-                            cell: cell.to_vec(),
+                            cell: Polygon::new(cell.to_vec()),
                         },
                     );
                 }
@@ -2542,8 +2525,9 @@ impl<T: Transport> HostNode<T> {
 
     /// The greedy walk over shipped routing tables: hops within this
     /// host advance locally; a hop to an object hosted elsewhere becomes
-    /// a [`WireMsg::RouteStep`] frame.  Mirrors
-    /// `core::runtime::AsyncOverlay::route_step` decision for decision.
+    /// a [`WireMsg::RouteStep`] frame.  The rows arrive in the live walk's
+    /// scan order and the decision is [`next_hop`]'s, so every route
+    /// takes the same hops as `VoroNet::route_to_point`, ties included.
     fn route_step(
         &mut self,
         at: u64,
@@ -2559,18 +2543,7 @@ impl<T: Transport> HostNode<T> {
                 return Ok(()); // stale routing entry: the driver will retry
             };
             let cur_d = state.coords.distance2(target);
-            let mut best = cur;
-            let mut best_d = cur_d;
-            for &(nb, coords) in &state.routing {
-                if nb == cur {
-                    continue;
-                }
-                let d = coords.distance2(target);
-                if d < best_d {
-                    best = nb;
-                    best_d = d;
-                }
-            }
+            let (best, _) = next_hop(cur, (cur, cur_d), target, state.routing.iter().copied());
             if best == cur {
                 return self.arrive(cur, origin, hops, purpose);
             }

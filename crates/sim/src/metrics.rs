@@ -7,6 +7,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use voronet_stats::nearest_rank;
 
 /// Identifier of a simulated node (the physical host of an object).
 pub type NodeId = u64;
@@ -235,13 +236,9 @@ impl RouteStats {
 
     /// The `q`-quantile of hop counts (`None` when empty).
     pub fn quantile(&self, q: f64) -> Option<u32> {
-        if self.hops.is_empty() {
-            return None;
-        }
         let mut sorted = self.hops.clone();
         sorted.sort_unstable();
-        let rank = (q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize;
-        Some(sorted[rank])
+        nearest_rank(&sorted, q)
     }
 
     /// All recorded hop counts (in recording order).

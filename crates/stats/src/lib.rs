@@ -15,4 +15,4 @@ pub mod summary;
 pub use histogram::{FixedHistogram, IntHistogram};
 pub use regression::{fit_loglog_exponent, linear_fit, LinearFit};
 pub use series::{series_to_csv, series_to_table, Series};
-pub use summary::{mean, p999, percentile, tail_summary, OnlineStats, TailSummary};
+pub use summary::{mean, nearest_rank, p999, percentile, tail_summary, OnlineStats, TailSummary};

@@ -118,6 +118,16 @@ pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
     }
 }
 
+/// Nearest-rank `q`-quantile of an ascending slice: the element at rank
+/// `round((n − 1)·q)`, with `q` clamped to `[0, 1]`.  Unlike
+/// [`percentile`] it never interpolates, so the result is always an
+/// observed sample.  `None` on an empty slice.
+pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let last = sorted.len().checked_sub(1)?;
+    let rank = (q.clamp(0.0, 1.0) * last as f64).round() as usize;
+    Some(sorted[rank])
+}
+
 /// 99.9th percentile of a slice — the deep-tail quantile recorded by the
 /// scenario benches.  Linear interpolation between closest ranks, like
 /// [`percentile`]: with fewer than 1000 samples the rank position lands
@@ -255,6 +265,18 @@ mod tests {
         assert_eq!(percentile(&xs, 0.5), Some(2.5));
         assert_eq!(percentile(&[], 0.5), None);
         assert_eq!(percentile(&xs, f64::NAN), None);
+    }
+
+    #[test]
+    fn nearest_rank_picks_the_rounded_rank() {
+        let xs = [1u32, 2, 3, 4, 10];
+        assert_eq!(nearest_rank(&xs, 0.0), Some(1));
+        assert_eq!(nearest_rank(&xs, 0.5), Some(3));
+        assert_eq!(nearest_rank(&xs, 0.6), Some(3)); // rank 2.4 → 2
+        assert_eq!(nearest_rank(&xs, 0.65), Some(4)); // rank 2.6 → 3
+        assert_eq!(nearest_rank(&xs, 0.99), Some(10));
+        assert_eq!(nearest_rank(&xs, 7.0), Some(10));
+        assert_eq!(nearest_rank::<f64>(&[], 0.5), None);
     }
 
     #[test]

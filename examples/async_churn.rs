@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example async_churn`
 
 use voronet::prelude::*;
-use voronet_core::runtime::{run_scenario, RoutingMode, ScenarioReport};
+use voronet_core::runtime::{run_scenario, ScenarioReport};
 use voronet_core::VoroNetConfig;
 use voronet_sim::{LatencyModel, MessageKind, NetworkModel, PartitionWindow, Scenario, ScenarioOp};
 use voronet_workloads::Distribution;
@@ -100,7 +100,7 @@ fn main() {
         script.len()
     );
 
-    let ideal = run_scenario(cfg, &script, NetworkModel::ideal(), RoutingMode::Greedy);
+    let ideal = run_scenario(cfg, &script, NetworkModel::ideal());
     print_report("ideal network (1 unit/hop, no loss)", &ideal);
 
     let latency = LatencyModel::Skewed {
@@ -112,7 +112,6 @@ fn main() {
         cfg,
         &script,
         NetworkModel::new(seed, latency).with_loss(0.10),
-        RoutingMode::Greedy,
     );
     print_report("heavy-tailed latency + 10% loss", &lossy);
 
@@ -126,7 +125,6 @@ fn main() {
                 end: 1_200,
                 groups: 2,
             }),
-        RoutingMode::Greedy,
     );
     print_report("… plus a 2-way partition for t∈[600,1200)", &partitioned);
 
@@ -135,7 +133,6 @@ fn main() {
         cfg,
         &script,
         NetworkModel::new(seed, latency).with_loss(0.10),
-        RoutingMode::Greedy,
     );
     assert_eq!(
         lossy, again,

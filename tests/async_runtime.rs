@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use voronet::prelude::*;
-use voronet_core::runtime::{run_scenario, AsyncOverlay, RoutingMode};
+use voronet_core::runtime::{run_scenario, AsyncOverlay};
 use voronet_core::VoroNetConfig;
 use voronet_sim::{LatencyModel, NetworkModel, PartitionWindow, Scenario, ScenarioOp};
 use voronet_workloads::Distribution;
@@ -60,12 +60,7 @@ fn lossy_network(seed: u64) -> NetworkModel {
 fn thousand_node_lossy_scenario_is_deterministic() {
     let run = |seed: u64| {
         let cfg = VoroNetConfig::new(2_000).with_seed(seed);
-        run_scenario(
-            cfg,
-            &big_churn_scenario(seed),
-            lossy_network(seed),
-            RoutingMode::Greedy,
-        )
+        run_scenario(cfg, &big_churn_scenario(seed), lossy_network(seed))
     };
     let a = run(2006);
     let b = run(2006);
@@ -170,10 +165,7 @@ fn loss_free_churn_keeps_replicas_consistent() {
             replica.close_neighbours, fresh.close_neighbours,
             "stale close-neighbour view at {id}"
         );
-        assert_eq!(
-            replica.routing_neighbours(),
-            fresh.routing_neighbours(),
-            "stale routing view at {id}"
-        );
+        let long = |v: &ObjectView| v.long_links.iter().map(|l| l.neighbour).collect::<Vec<_>>();
+        assert_eq!(long(replica), long(&fresh), "stale routing view at {id}");
     }
 }
